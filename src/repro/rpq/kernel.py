@@ -210,28 +210,25 @@ def decode_matrix(
 
     Sorted by ``(source_id, target_id)`` — the engine's documented
     deterministic order.  ``width`` is the number of valid source
-    columns (padding bits beyond it are discarded by construction);
-    ``lo`` re-bases window columns to absolute ids.
+    columns (padding bits at or beyond it are dropped); ``lo`` re-bases
+    window columns to absolute ids.
     """
-    num_nodes = answers.shape[0]
-    source_parts: list[np.ndarray] = []
-    target_parts: list[np.ndarray] = []
-    if width > 0:
-        rows_per_chunk = max(1, (1 << 22) // max(1, width))
-        for start in range(0, num_nodes, rows_per_chunk):
-            stop = min(start + rows_per_chunk, num_nodes)
-            bits = np.unpackbits(
-                answers[start:stop].view(np.uint8), axis=1, bitorder="little"
-            )[:, :width]
-            target_offsets, columns = np.nonzero(bits)
-            if columns.size:
-                source_parts.append(columns.astype(np.int64) + lo)
-                target_parts.append(target_offsets.astype(np.int64) + start)
-    if not source_parts:
+    rows, words = np.nonzero(answers)
+    if width <= 0 or not words.size:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    sources = np.concatenate(source_parts)
-    targets = np.concatenate(target_parts)
+    # Unpack only the nonzero words: answer matrices are sparse, and a
+    # full unpack would materialize one byte per (target, source) cell.
+    bits = np.unpackbits(
+        answers[rows, words].view(np.uint8).reshape(-1, 8),
+        axis=1,
+        bitorder="little",
+    )
+    word_index, bit = np.nonzero(bits)
+    columns = words[word_index].astype(np.int64) * 64 + bit
+    valid = columns < width
+    sources = columns[valid] + lo
+    targets = rows[word_index][valid].astype(np.int64)
     order = np.lexsort((targets, sources))
     return sources[order], targets[order]
 

@@ -43,6 +43,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable
 
+from ..rpq.evaluation import sort_pairs
 from ..rpq.theory import Theory
 from ..rpq.views import RPQViews
 from ..rpq.workload import TrafficOp, make_graph, make_traffic_mix, make_views
@@ -507,11 +508,10 @@ def replay_crash_oracle(
 def _expected_payload(session: QuerySession, response: dict) -> dict:
     query, mode = response["query"], response["mode"]
     if mode == "all":
-        return {
-            "answers": [
-                [str(x), str(y)] for x, y in session.answer_sorted(query)
-            ]
-        }
+        # Sorted by the oracle bridge, never by the session's own id-space
+        # sort or its answer_json memo: those are what this checks.
+        pairs = sort_pairs(session.store.graph, session.answer(query))
+        return {"answers": [[str(x), str(y)] for x, y in pairs]}
     if mode == "single_source":
         return {
             "targets": sorted(

@@ -48,8 +48,9 @@ handler commits the batch — per the ``fsync`` policy — *on the tenant
 thread, before the executor future resolves*, so an HTTP 200 for a
 write means the batch is recoverable.  Startup recovers every tenant
 from its directory (config extensions seed only a fresh directory);
-``/shutdown`` drains in-flight requests, rolls a final checkpoint per
-tenant, and joins the executors without cancelling queued writes.
+``/shutdown`` drains in-flight requests, closes idle keep-alive
+connections, rolls a final checkpoint per tenant, and joins the
+executors without cancelling queued writes.
 Request parsing is bounded too: bodies beyond ``max_request_bytes``
 draw a 413 and malformed Content-Length a 400, before any buffering.
 
@@ -225,16 +226,21 @@ class Tenant:
         mode: str,
         source: str | None,
         target: str | None,
-    ) -> dict:
+    ) -> dict | bytes:
         # The pinned version: writes share this thread, so the version
         # cannot move between this read and the evaluation below.
         version = self.store.version
-        result: dict = {"version": version, "query": query, "mode": mode}
         if mode == "all":
-            result["answers"] = [
-                [str(x), str(y)] for x, y in self.session.answer_sorted(query)
-            ]
-        elif mode == "single_source":
+            # The finished body, byte-identical to _encode_response's
+            # json.dumps of {"answers", "mode", "query", "version"} with
+            # sorted keys, around the session's memoized answer text.
+            return (
+                f'{{"answers":{self.session.answer_json(query)},'
+                f'"mode":"all","query":{json.dumps(query)},'
+                f'"version":{version}}}'
+            ).encode()
+        result: dict = {"version": version, "query": query, "mode": mode}
+        if mode == "single_source":
             result["source"] = source
             result["targets"] = sorted(
                 str(y) for y in self.session.answer_from(query, source)
@@ -322,8 +328,15 @@ def _parse_body(body: bytes) -> tuple[dict | None, str | None]:
     return payload, None
 
 
-def _encode_response(status: int, payload: dict, keep_alive: bool) -> bytes:
-    body = json.dumps(payload, separators=(",", ":"), sort_keys=True).encode()
+def _encode_response(
+    status: int, payload: dict | bytes, keep_alive: bool
+) -> bytes:
+    """Frame one response; a ``bytes`` payload is an already-encoded body
+    (:meth:`Tenant.run_query` returns one for mode ``all``)."""
+    if isinstance(payload, bytes):
+        body = payload
+    else:
+        body = json.dumps(payload, separators=(",", ":"), sort_keys=True).encode()
     connection = "keep-alive" if keep_alive else "close"
     head = (
         f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
@@ -398,6 +411,11 @@ class RPQServer:
         # clean shutdown never tears the loop down under a response that
         # acknowledges an applied write.
         self._inflight = 0
+        # Open connections (writer -> handler task).  Once in-flight
+        # requests drain, aclose() closes the idle ones and waits for
+        # their handlers to see EOF, so none is cancelled by the loop's
+        # teardown mid-read.
+        self._connections: dict[asyncio.StreamWriter, asyncio.Task] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -431,7 +449,9 @@ class RPQServer:
         The clean-shutdown ordering contract (the one ``/shutdown``
         relies on): (1) close the listener so no new connection lands;
         (2) wait for every in-flight request — admitted writes included
-        — to finish executing *and* drain its response; (3) roll a final
+        — to finish executing *and* drain its response, then close the
+        idle keep-alive connections and wait for their handlers to
+        return; (3) roll a final
         checkpoint per durable tenant, on the tenant's own executor so
         it serializes after every drained write; (4) join the executors
         without cancelling queued work.  Only then may the caller's
@@ -444,6 +464,11 @@ class RPQServer:
             self._server = None
         while self._inflight:
             await asyncio.sleep(0.005)
+        handlers = list(self._connections.values())
+        for writer in list(self._connections):
+            writer.close()
+        if handlers:
+            await asyncio.wait(handlers)
         loop = asyncio.get_running_loop()
         for tenant in self.tenants.values():
             if tenant.durability is not None:
@@ -460,6 +485,7 @@ class RPQServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self.stats["connections"] += 1
+        self._connections[writer] = asyncio.current_task()
         try:
             while True:
                 request = await self._read_request(reader)
@@ -515,6 +541,7 @@ class RPQServer:
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
+            self._connections.pop(writer, None)
             writer.close()
             with contextlib.suppress(Exception):
                 await writer.wait_closed()
@@ -581,7 +608,7 @@ class RPQServer:
     # ------------------------------------------------------------------
     async def _dispatch(
         self, method: str, path: str, body: bytes
-    ) -> tuple[int, dict]:
+    ) -> tuple[int, dict | bytes]:
         self.stats["requests"] += 1
         parts = [part for part in path.partition("?")[0].split("/") if part]
         if method == "GET" and parts == ["health"]:
@@ -628,8 +655,8 @@ class RPQServer:
         self,
         tenant: Tenant,
         kind: str,
-        make_op: Callable[[], Callable[[], dict]],
-    ) -> tuple[int, dict]:
+        make_op: Callable[[], Callable[[], dict | bytes]],
+    ) -> tuple[int, dict | bytes]:
         """Bounded admission, then executor confinement.
 
         The pending check and increment run with no ``await`` between
@@ -662,7 +689,9 @@ class RPQServer:
         tenant.served["queries" if kind == "query" else "updates"] += 1
         return 200, result
 
-    async def _query(self, tenant: Tenant, body: bytes) -> tuple[int, dict]:
+    async def _query(
+        self, tenant: Tenant, body: bytes
+    ) -> tuple[int, dict | bytes]:
         payload, error = _parse_body(body)
         if error is not None:
             return 400, {"error": error}

@@ -30,7 +30,9 @@ sharded), bit-identical either way.  Requests come in the three
 shapes of the engine:
 :meth:`QuerySession.answer` (all pairs), :meth:`answer_from`
 (single source), and :meth:`answer_pair` (one pair, decided by the
-bidirectional search without computing the full answer set).
+bidirectional search without computing the full answer set).  The
+all-pairs answer also comes pre-encoded, :meth:`answer_json`, memoized
+beside the answer set and dropped with it.
 
 Crash recovery composes with this contract for free.  A store rebuilt
 by :mod:`repro.service.recovery` comes back at its pre-crash version
@@ -45,12 +47,16 @@ corrupt entry is skipped and recomputed, not fatal.
 
 from __future__ import annotations
 
+import json
 import threading
 from typing import Hashable, Iterable, Mapping
 
 from ..automata.nfa import NFA
 from ..rpq import engine as _engine
-from ..rpq.evaluation import sort_pairs
+# Not called here (the session sorts in id space, see _sorted_ids), but
+# kept importable: perfbench/spans.py times the session's sort under
+# this name, and a traced run then shows it at zero calls.
+from ..rpq.evaluation import sort_pairs  # noqa: F401
 from ..rpq.incremental import DeltaSweepState, NumpyDeltaSweepState, make_delta_state
 from ..rpq.query import QuerySpec
 from ..rpq.rewriting import RPQRewritingResult
@@ -160,7 +166,15 @@ class QuerySession:
         # per distinct query, keeping repeated requests at dict lookups.
         self._plan_keys: dict[Hashable, str] = {}
         self._answers: dict[str, frozenset[Pair]] = {}
+        # plan key -> answer_json text, for the same store version as
+        # _answers and cleared with it: a memo hit between writes then
+        # skips the sort and the encode along with the sweep.
+        self._answer_texts: dict[str, str] = {}
         self._answers_version = -1
+        # node id -> json.dumps(str(node)).  Node ids are append-only
+        # (GraphDB never re-interns or frees one), so an entry is valid
+        # for the store's lifetime and only new nodes need encoding.
+        self._node_names: list[str] = []
         # plan key -> (retained sweep state, store version it reflects);
         # unlike the answer memo this survives version bumps — that is
         # the whole point: a pure-insert delta advances the state to the
@@ -255,6 +269,7 @@ class QuerySession:
             if self._answers:
                 self.stats["invalidations"] += 1
             self._answers.clear()
+            self._answer_texts.clear()
             self._answers_version = version
         return version
 
@@ -347,7 +362,59 @@ class QuerySession:
         sessions over equal stores — incremental or not, sharded or not
         — can be compared byte for byte.
         """
-        return sort_pairs(self.store.graph, self.answer(query))
+        with self._lock:
+            node_at = self.store.graph.node_at
+            return [
+                (node_at(source), node_at(target))
+                for source, target in self._sorted_ids(self.answer(query))
+            ]
+
+    def answer_json(self, query: QuerySpec) -> str:
+        """:meth:`answer_sorted` as a compact JSON array of string pairs.
+
+        Equal to ``json.dumps([[str(x), str(y)] for x, y in
+        answer_sorted(query)], separators=(",", ":"))``, and memoized
+        per (plan, store version) beside :meth:`answer`'s memo, so
+        repeated requests between writes neither sort nor encode again.
+        Each node's encoded name is cached for the store's lifetime.
+        """
+        with self._lock:
+            answers = self.answer(query)
+            key = self._plan_keys[query]
+            text = self._answer_texts.get(key)
+            if text is None:
+                names = self._encoded_names()
+                text = "[" + ",".join(
+                    [
+                        f"[{names[source]},{names[target]}]"
+                        for source, target in self._sorted_ids(answers)
+                    ]
+                ) + "]"
+                # File the text only beside the frozenset it encodes:
+                # answer() declines to memoize when the store moved
+                # mid-call, and then so does this.
+                if self._answers.get(key) is answers:
+                    self._answer_texts[key] = text
+            return text
+
+    def _sorted_ids(self, answers: frozenset[Pair]) -> list[tuple[int, int]]:
+        """``answers`` as dense-id pairs in ``(node_id, node_id)`` order —
+        the order of :func:`~repro.rpq.evaluation.sort_pairs`, sorted on
+        plain int tuples instead of a per-pair key function."""
+        node_id = self.store.graph.node_id
+        return sorted([(node_id(x), node_id(y)) for x, y in answers])
+
+    def _encoded_names(self) -> list[str]:
+        """``json.dumps(str(node))`` per node id, extended to cover every
+        node the store graph has interned so far."""
+        graph = self.store.graph
+        names = self._node_names
+        node_at = graph.node_at
+        names.extend(
+            json.dumps(str(node_at(node_id)))
+            for node_id in range(len(names), graph.num_nodes)
+        )
+        return names
 
     def _parallel_all_pairs(
         self, evaluator: ParallelEvaluator, compiled: _engine.CompiledAutomaton

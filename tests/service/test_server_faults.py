@@ -312,5 +312,60 @@ class TestRequestBounds:
         assert server.stats["bad_requests"] == 2
 
 
+class TestShutdownWithIdleConnection:
+    def test_shutdown_exits_clean_with_keep_alive_connection_open(self):
+        """``/shutdown`` must not leave an idle keep-alive reader to be
+        cancelled when the loop dies (which logs a CancelledError
+        traceback): the server closes it, and the handler sees EOF."""
+        import http.client
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve",
+                "--host", "127.0.0.1", "--port", "0",
+                "--workload-tenant", "alpha=grid:7:60",
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        try:
+            port = None
+            for line in proc.stdout:
+                if line.startswith("serving ") and "http://" in line:
+                    port = int(line.rsplit(":", 1)[1])
+                    break
+            assert port is not None, f"server never announced (rc={proc.poll()})"
+            connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+            try:
+                connection.request(
+                    "POST", "/shutdown", body=b"{}",
+                    headers={"Connection": "keep-alive"},
+                )
+                response = connection.getresponse()
+                assert response.status == 200
+                response.read()
+                # The connection stays open while the server shuts down.
+                _stdout, stderr = proc.communicate(timeout=60)
+            finally:
+                connection.close()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, stderr
+        assert "Traceback" not in stderr, stderr
+        assert "Exception in callback" not in stderr, stderr
+
+
 if __name__ == "__main__":  # pragma: no cover
     raise SystemExit(pytest.main([__file__, "-q"]))
